@@ -44,11 +44,6 @@ class AnchorWitness:
     def __init__(self, site_verifier: Verifier) -> None:
         self._verifier = site_verifier
         self._anchors: list[AuditAnchor] = []
-        # (size, root) of the highest anchor a past check_log validated.
-        # Purely a cache: check_log revalidates it against the live tree
-        # before skipping anything, so a tree that forked since simply
-        # misses the cache and every anchor is rechecked.
-        self._verified_prefix: tuple[int, bytes] | None = None
 
     @property
     def anchors(self) -> list[AuditAnchor]:
@@ -88,35 +83,21 @@ class AnchorWitness:
 
         Raises :class:`AuditError` on truncation or history rewriting.
 
-        Anchors at or below the memoized verified prefix are skipped
-        once the live tree still reproduces that prefix's root — one
-        ``root_at`` instead of one per historical anchor, so repeated
-        checks over a long witness history cost O(tree), not
-        O(anchors x tree).
+        Every anchor is rechecked against the live tree on every call;
+        ``root_at`` reads stored subtree roots, so each costs O(log n).
         """
         tree = log.merkle_tree()
-        skip_at_or_below = 0
-        if self._verified_prefix is not None:
-            size, root = self._verified_prefix
-            if size <= len(log) and tree.root_at(size) == root:
-                skip_at_or_below = size
         for anchor in self._anchors:
             if len(log) < anchor.log_size:
                 raise AuditError(
                     f"log truncated: witness holds an anchor at size "
                     f"{anchor.log_size}, log has only {len(log)} events"
                 )
-            if anchor.log_size <= skip_at_or_below:
-                continue
-            root_then = tree.root_at(anchor.log_size)
-            if root_then != anchor.merkle_root:
+            if tree.root_at(anchor.log_size) != anchor.merkle_root:
                 raise AuditError(
                     f"log history rewritten: root at size {anchor.log_size} "
                     "does not match the witnessed anchor"
                 )
-        if self._anchors:
-            newest = self._anchors[-1]
-            self._verified_prefix = (newest.log_size, newest.merkle_root)
 
 
 class WitnessQuorum:

@@ -33,7 +33,7 @@ from repro.audit.checkpoint import CheckpointStore, VerifiedWatermark
 from repro.audit.events import AuditAction, AuditEvent
 from repro.crypto.hashing import GENESIS_DIGEST, chain_digest
 from repro.crypto.merkle import MerkleTree, leaf_hash, verify_consistency
-from repro.errors import AuditError
+from repro.errors import AuditError, CuratorError
 from repro.storage.block import BlockDevice, MemoryDevice
 from repro.storage.journal import Journal
 from repro.util.clock import Clock, WallClock
@@ -577,6 +577,11 @@ class AuditLog:
         *at_size* selects the anchored log size the proof must match
         (default: the current size).  Returns ``(event, chain_prev,
         proof)``; verify with :func:`verify_event_proof`.
+
+        *chain_prev* is read from the event's journal frame and accepted
+        only if, with the in-memory event, it reproduces the trusted
+        Merkle leaf — O(1) instead of replaying the chain up to the
+        event, and a device-tampered ``prev`` raises :class:`AuditError`.
         """
         event = self.event(sequence)
         size = at_size if at_size is not None else len(self._events)
@@ -584,7 +589,15 @@ class AuditLog:
             raise AuditError(
                 f"event {sequence} is not covered by an anchor at size {size}"
             )
-        chain_prev = self.expected_head_for(self._events[:sequence])
+        try:
+            chain_prev = canonical_loads(self._journal.read(sequence))["prev"]
+            encoded = canonical_bytes({"event": event.to_dict(), "prev": chain_prev})
+        except (CuratorError, KeyError, TypeError, ValueError) as exc:
+            raise AuditError(f"event {sequence} frame unreadable: {exc}") from exc
+        if leaf_hash(encoded) != self._tree.leaf_digest(sequence):
+            raise AuditError(
+                f"event {sequence} frame does not match its trusted Merkle leaf"
+            )
         proof = self._tree.prove_inclusion_at(sequence, size)
         return event, chain_prev, proof
 

@@ -16,10 +16,12 @@ an unbalanced tree recurses on the largest power of two smaller than n —
 but is instantiated over BLAKE2b-256 with *personalization*-based
 leaf/node domain separation instead of SHA-256 with prefix bytes.
 BLAKE2b's lower per-call overhead wins on the 32–64 byte node inputs
-these trees hash in their update loops, and personalization means the
-forest-merge loop streams child digests straight into the hasher with
-no ``prefix + left + right`` concatenation.  Leaves may be any buffer
-(``bytes``, ``bytearray``, ``memoryview``).
+these trees hash, and personalization means every node hash streams
+its two child digests straight into the hasher with no
+``prefix + left + right`` concatenation.  Leaves may be any buffer
+(``bytes``, ``bytearray``, ``memoryview``).  Interior nodes are stored
+by level as they complete (see :class:`MerkleTree`), so roots and
+proofs at any historical size cost O(log n).
 """
 
 from __future__ import annotations
@@ -59,17 +61,7 @@ def _node_hash(left: bytes, right: bytes) -> bytes:
 
 def _largest_power_of_two_below(n: int) -> int:
     """Largest power of two strictly less than n (n >= 2)."""
-    k = 1
-    while k * 2 < n:
-        k *= 2
-    return k
-
-
-def _subtree_root(leaves: list[bytes]) -> bytes:
-    if len(leaves) == 1:
-        return leaves[0]
-    split = _largest_power_of_two_below(len(leaves))
-    return _node_hash(_subtree_root(leaves[:split]), _subtree_root(leaves[split:]))
+    return 1 << ((n - 1).bit_length() - 1)
 
 
 @dataclass(frozen=True)
@@ -103,33 +95,49 @@ class MerkleProof:
 class MerkleTree:
     """An append-only Merkle tree over byte-string leaves.
 
-    Appends maintain an incremental *forest* of perfect-subtree roots
-    (the binary-counter construction used by CT log servers), so
-    :meth:`root` is O(log n) hashing instead of a full O(n) rebuild —
-    the audit log reads the root on every anchor, and the engine's
-    batch commits read it once per batch.
+    Nodes are stored by level: ``_levels[k][i]`` is the root of leaves
+    ``[i * 2**k, (i + 1) * 2**k)`` and ``_levels[0]`` holds the leaf
+    hashes.  A node is written once, when its last leaf arrives — in an
+    append-only tree every complete aligned subtree is immutable (RFC
+    6962 §2.1).  Any RFC 6962 range therefore resolves to stored nodes
+    plus at most O(log n) hashes along its right edge, so the current
+    root, every historical root, and every inclusion and consistency
+    proof cost O(log n).
     """
 
     def __init__(self, leaves: list[bytes] | None = None) -> None:
-        self._leaf_hashes: list[bytes] = []
-        # (size, subtree_root) with sizes strictly decreasing powers of
-        # two; together they cover all leaves left to right.
-        self._forest: list[tuple[int, bytes]] = []
+        self._levels: list[list[bytes]] = [[]]
         for leaf in leaves or []:
             self.append(leaf)
 
     def __len__(self) -> int:
-        return len(self._leaf_hashes)
+        return len(self._levels[0])
 
     def _push_leaf(self, leaf_hash: bytes) -> int:
-        self._leaf_hashes.append(leaf_hash)
-        self._forest.append((1, leaf_hash))
-        # Merge equal-size perfect subtrees (binary-counter carry).
-        while len(self._forest) >= 2 and self._forest[-1][0] == self._forest[-2][0]:
-            right_size, right = self._forest.pop()
-            left_size, left = self._forest.pop()
-            self._forest.append((left_size + right_size, _node_hash(left, right)))
-        return len(self._leaf_hashes) - 1
+        levels = self._levels
+        levels[0].append(leaf_hash)
+        # Every even-length level just completed a pair: write its parent.
+        level = 0
+        while len(levels[level]) % 2 == 0:
+            if level + 1 == len(levels):
+                levels.append([])
+            row = levels[level]
+            levels[level + 1].append(_node_hash(row[-2], row[-1]))
+            level += 1
+        return len(levels[0]) - 1
+
+    def _range_root(self, lo: int, hi: int) -> bytes:
+        """Root of the RFC 6962 subtree over leaves ``[lo, hi)``.
+
+        Every range the RFC 6962 recursion visits that spans a power of
+        two starts at a multiple of its size, so it is a stored node.
+        """
+        size = hi - lo
+        if size & (size - 1) == 0:
+            level = size.bit_length() - 1
+            return self._levels[level][lo >> level]
+        split = lo + _largest_power_of_two_below(size)
+        return _node_hash(self._range_root(lo, split), self._range_root(split, hi))
 
     def append(self, leaf: bytes) -> int:
         """Append a leaf; returns its index."""
@@ -144,29 +152,14 @@ class MerkleTree:
         return self._push_leaf(bytes(leaf_hash))
 
     def root(self) -> bytes:
-        """Current root digest (EMPTY_ROOT for the empty tree).
-
-        Folds the incremental forest right-to-left, which reproduces
-        the RFC 6962 recursion: the split point is always the largest
-        power of two below the range size, i.e. the leftmost forest
-        entry at every level.
-        """
-        if not self._forest:
-            return EMPTY_ROOT
-        acc = self._forest[-1][1]
-        for _, subtree in reversed(self._forest[:-1]):
-            acc = _node_hash(subtree, acc)
-        return acc
+        """Current root digest (EMPTY_ROOT for the empty tree)."""
+        return self._range_root(0, len(self)) if len(self) else EMPTY_ROOT
 
     def root_at(self, size: int) -> bytes:
         """Root of the historical tree containing only the first *size* leaves."""
-        if size < 0 or size > len(self._leaf_hashes):
-            raise ValidationError(f"size {size} out of range 0..{len(self._leaf_hashes)}")
-        if size == 0:
-            return EMPTY_ROOT
-        if size == len(self._leaf_hashes):
-            return self.root()  # O(log n) forest fold, not an O(n) rebuild
-        return _subtree_root(self._leaf_hashes[:size])
+        if size < 0 or size > len(self):
+            raise ValidationError(f"size {size} out of range 0..{len(self)}")
+        return self._range_root(0, size) if size else EMPTY_ROOT
 
     def leaf_digest(self, index: int) -> bytes:
         """The stored leaf hash at *index* (already leaf-hashed).
@@ -176,93 +169,42 @@ class MerkleTree:
         whose re-derived :func:`leaf_hash` disagrees has been tampered
         with on the raw device.
         """
-        if index < 0 or index >= len(self._leaf_hashes):
-            raise ValidationError(
-                f"leaf index {index} out of range 0..{len(self._leaf_hashes) - 1}"
-            )
-        return self._leaf_hashes[index]
+        if index < 0 or index >= len(self):
+            raise ValidationError(f"leaf index {index} out of range 0..{len(self) - 1}")
+        return self._levels[0][index]
+
+    def _inclusion_proof(self, index: int, size: int) -> MerkleProof:
+        if index < 0 or index >= size:
+            raise ValidationError(f"leaf index {index} out of range 0..{size - 1}")
+        path: list[tuple[bytes, bool]] = []
+        lo, hi = 0, size
+        while hi - lo > 1:
+            split = lo + _largest_power_of_two_below(hi - lo)
+            if index < split:
+                path.append((self._range_root(split, hi), False))
+                hi = split
+            else:
+                path.append((self._range_root(lo, split), True))
+                lo = split
+        path.reverse()  # leaf to root
+        return MerkleProof(leaf_index=index, tree_size=size, path=tuple(path))
 
     def prove_inclusion(self, index: int) -> MerkleProof:
         """Produce an inclusion proof for the leaf at *index*."""
-        n = len(self._leaf_hashes)
-        if index < 0 or index >= n:
-            raise ValidationError(f"leaf index {index} out of range 0..{n - 1}")
-        path: list[tuple[bytes, bool]] = []
-
-        def walk(lo: int, hi: int, target: int) -> None:
-            if hi - lo == 1:
-                return
-            split = lo + _largest_power_of_two_below(hi - lo)
-            if target < split:
-                walk(lo, split, target)
-                path.append((_subtree_root(self._leaf_hashes[split:hi]), False))
-            else:
-                walk(split, hi, target)
-                path.append((_subtree_root(self._leaf_hashes[lo:split]), True))
-
-        walk(0, n, index)
-        return MerkleProof(leaf_index=index, tree_size=n, path=tuple(path))
-
-    def prove_inclusion_all(self) -> list[MerkleProof]:
-        """Inclusion proofs for every leaf against the current root.
-
-        Computes each recursion range's subtree root exactly once (O(n)
-        hashing for the whole batch) instead of re-deriving sibling
-        ranges per proof — :meth:`prove_inclusion` in a loop would cost
-        O(n^2).  Aggregated batch signing attaches one of these proofs
-        to every record in the batch.
-        """
-        n = len(self._leaf_hashes)
-        if n == 0:
-            return []
-        memo: dict[tuple[int, int], bytes] = {}
-
-        def build(lo: int, hi: int) -> bytes:
-            if hi - lo == 1:
-                digest = self._leaf_hashes[lo]
-            else:
-                split = lo + _largest_power_of_two_below(hi - lo)
-                digest = _node_hash(build(lo, split), build(split, hi))
-            memo[(lo, hi)] = digest
-            return digest
-
-        build(0, n)
-        proofs = []
-        for index in range(n):
-            path: list[tuple[bytes, bool]] = []
-            lo, hi = 0, n
-            spans: list[tuple[int, int]] = []
-            while hi - lo > 1:
-                spans.append((lo, hi))
-                split = lo + _largest_power_of_two_below(hi - lo)
-                if index < split:
-                    hi = split
-                else:
-                    lo = split
-            for span_lo, span_hi in reversed(spans):
-                split = span_lo + _largest_power_of_two_below(span_hi - span_lo)
-                if index < split:
-                    path.append((memo[(split, span_hi)], False))
-                else:
-                    path.append((memo[(span_lo, split)], True))
-            proofs.append(MerkleProof(leaf_index=index, tree_size=n, path=tuple(path)))
-        return proofs
+        return self._inclusion_proof(index, len(self))
 
     def prove_inclusion_at(self, index: int, size: int) -> MerkleProof:
         """Inclusion proof against the *historical* tree of the first
         ``size`` leaves (proofs must match the root they verify against,
         e.g. a previously published anchor)."""
-        if size < 1 or size > len(self._leaf_hashes):
-            raise ValidationError(f"size {size} out of range 1..{len(self._leaf_hashes)}")
-        historical = MerkleTree.__new__(MerkleTree)
-        historical._leaf_hashes = self._leaf_hashes[:size]
-        historical._forest = []  # proofs recurse over leaf hashes only
-        return historical.prove_inclusion(index)
+        if size < 1 or size > len(self):
+            raise ValidationError(f"size {size} out of range 1..{len(self)}")
+        return self._inclusion_proof(index, size)
 
     def prove_consistency(self, old_size: int) -> list[bytes]:
         """Consistency proof that the current tree extends the tree of
         *old_size* leaves (RFC 6962 §2.1.2, simplified recursive form)."""
-        n = len(self._leaf_hashes)
+        n = len(self)
         if old_size < 0 or old_size > n:
             raise ValidationError(f"old_size {old_size} out of range 0..{n}")
         if old_size == 0 or old_size == n:
@@ -276,28 +218,52 @@ class MerkleTree:
             # equals the whole [lo, split) range at some ancestor.
             if m == hi:
                 if not complete:
-                    proof.append(_subtree_root(self._leaf_hashes[lo:hi]))
+                    proof.append(self._range_root(lo, hi))
                 return
             split = lo + _largest_power_of_two_below(hi - lo)
             if m <= split:
                 subproof(lo, split, m, complete)
-                proof.append(_subtree_root(self._leaf_hashes[split:hi]))
+                proof.append(self._range_root(split, hi))
             else:
                 subproof(split, hi, m, False)
-                proof.append(_subtree_root(self._leaf_hashes[lo:split]))
+                proof.append(self._range_root(lo, split))
 
         subproof(0, n, old_size, True)
         return proof
 
 
 def verify_inclusion(leaf: bytes, proof: MerkleProof, root: bytes) -> None:
-    """Verify an inclusion proof; raises :class:`IntegrityError` on failure."""
+    """Verify an inclusion proof; raises :class:`IntegrityError` on failure.
+
+    The proof's position is bound as well as its hashes: each sibling's
+    side is derived from ``(leaf_index, tree_size)`` (RFC 9162
+    §2.1.3.2), so a path whose length or ``is_left`` flags disagree with
+    its claimed position is rejected even if it reproduces *root*.
+    """
+    index, last = proof.leaf_index, proof.tree_size - 1
+    if not 0 <= index <= last:
+        raise IntegrityError(
+            f"leaf index {index} outside a tree of {proof.tree_size} leaves"
+        )
     digest = _leaf_hash(leaf)
     for sibling, sibling_is_left in proof.path:
+        if last == 0:
+            raise IntegrityError("inclusion proof path too long for its position")
+        if bool(sibling_is_left) != (index & 1 == 1 or index == last):
+            raise IntegrityError("inclusion proof sides disagree with its position")
         if sibling_is_left:
             digest = _node_hash(sibling, digest)
+            # A right-edge node with no sibling at the levels above it
+            # is carried up unchanged.
+            while index and not index & 1:
+                index >>= 1
+                last >>= 1
         else:
             digest = _node_hash(digest, sibling)
+        index >>= 1
+        last >>= 1
+    if last != 0:
+        raise IntegrityError("inclusion proof path too short for its position")
     if digest != root:
         raise IntegrityError(
             f"Merkle inclusion proof failed for leaf index {proof.leaf_index}"

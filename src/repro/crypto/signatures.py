@@ -201,7 +201,7 @@ class Signer:
             _batch_root_message(batch_root, len(payloads))
         )
         fingerprint = self._keypair.public.fingerprint()
-        proofs = tree.prove_inclusion_all()
+        proofs = [tree.prove_inclusion(i) for i in range(len(payloads))]
         return [
             AggregateSignedPayload(
                 payload=payload,

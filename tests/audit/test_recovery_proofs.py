@@ -109,3 +109,43 @@ def test_event_proof_beyond_anchor_rejected():
     log.append(AuditAction.RECORD_READ, "actor-z", "rec-late")
     with pytest.raises(AuditError, match="not covered"):
         log.prove_event(12, at_size=anchor.log_size)
+
+
+def test_event_proof_deep_in_a_long_log():
+    clock = SimulatedClock(start=1000.0)
+    log = AuditLog(device=MemoryDevice("audit", 1 << 23), clock=clock)
+    for i in range(5000):
+        log.append(AuditAction.RECORD_READ, f"actor-{i % 7}", f"rec-{i}")
+    signer = Signer("hospital-A", keypair=KEYPAIR)
+    anchor = publish_anchor(log, signer, clock.now())
+    for i in range(3):
+        log.append(AuditAction.RECORD_READ, "actor-z", f"rec-late-{i}")
+    for sequence in (0, 2047, 4321, 4999):
+        event, chain_prev, proof = log.prove_event(sequence, at_size=anchor.log_size)
+        assert event.subject_id == f"rec-{sequence}"
+        verify_event_proof(event, chain_prev, proof, anchor.merkle_root)
+
+
+def test_event_proof_reads_chain_prev_without_replaying_the_chain(monkeypatch):
+    clock, log = grown_log(12)
+    monkeypatch.setattr(
+        AuditLog, "expected_head_for", lambda self, events: pytest.fail("replayed")
+    )
+    event, chain_prev, proof = log.prove_event(9)
+    verify_event_proof(event, chain_prev, proof, log.merkle_root())
+
+
+def test_event_proof_refuses_a_device_tampered_prev():
+    from repro.storage.journal import Journal
+    from repro.util.encoding import canonical_bytes, canonical_loads
+
+    clock, log = grown_log(12)
+    offset, payload = list(Journal.iter_device_frames(log.device))[7]
+    entry = canonical_loads(payload)
+    entry["prev"] = entry["prev"][:-1] + bytes([entry["prev"][-1] ^ 0x01])
+    Journal.forge_frame(log.device, offset, canonical_bytes(entry))
+    with pytest.raises(AuditError, match="trusted Merkle leaf"):
+        log.prove_event(7)
+    # Untouched frames still yield proofs.
+    event, chain_prev, proof = log.prove_event(6)
+    verify_event_proof(event, chain_prev, proof, log.merkle_root())

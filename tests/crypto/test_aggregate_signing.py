@@ -1,8 +1,11 @@
 """Aggregated batch signing: one root signature, per-record proofs."""
 
+import dataclasses
+
 import pytest
 
 from repro.crypto.ed25519 import generate_ed25519_keypair
+from repro.crypto.merkle import MerkleProof
 from repro.crypto.rsa import generate_keypair
 from repro.crypto.signatures import (
     _ROOT_MEMO,
@@ -150,3 +153,16 @@ def test_leaf_count_mismatch_rejected():
     )
     with pytest.raises(AuthenticationError):
         verifier.verify(inflated)
+
+
+def test_relabelled_member_proof_rejected():
+    # Member 3's genuine path, claimed for position 4 of the same batch:
+    # tree_size still equals leaf_count, so only position binding stops it.
+    signer = Signer("site-A", keypair=ED_KEYPAIR)
+    verifier = signer.verifier()
+    member = signer.sign_batch(payloads(5))[3]
+    relabelled = dataclasses.replace(
+        member, proof=MerkleProof(leaf_index=4, tree_size=5, path=member.proof.path)
+    )
+    with pytest.raises(AuthenticationError):
+        verifier.verify(relabelled)

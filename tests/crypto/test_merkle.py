@@ -168,3 +168,33 @@ def test_property_consistency(new, data):
     tree = MerkleTree(leaves(new))
     old_root = MerkleTree(leaves(old)).root()
     verify_consistency(old_root, tree.root(), old, new, tree.prove_consistency(old))
+
+
+def test_relabelled_proof_rejected():
+    # A genuine path for leaf 3 of 8 reproduces the root whatever
+    # position it claims; the verifier must bind the claimed position.
+    tree = MerkleTree(leaves(8))
+    genuine = tree.prove_inclusion(3)
+    verify_inclusion(leaves(8)[3], genuine, tree.root())
+    relabelled = MerkleProof(leaf_index=6, tree_size=1000, path=genuine.path)
+    with pytest.raises(IntegrityError):
+        verify_inclusion(leaves(8)[3], relabelled, tree.root())
+
+
+@pytest.mark.parametrize(
+    "index,size", [(3, 3), (0, 0), (-1, 8), (2, 7), (3, 9), (3, 16), (3, 4)]
+)
+def test_proof_position_must_match_its_path(index, size):
+    tree = MerkleTree(leaves(8))
+    path = tree.prove_inclusion(3).path
+    with pytest.raises(IntegrityError):
+        verify_inclusion(leaves(8)[3], MerkleProof(index, size, path), tree.root())
+
+
+def test_flipped_side_flag_rejected():
+    tree = MerkleTree(leaves(8))
+    path = list(tree.prove_inclusion(3).path)
+    digest, is_left = path[0]
+    path[0] = (digest, not is_left)
+    with pytest.raises(IntegrityError, match="sides"):
+        verify_inclusion(leaves(8)[3], MerkleProof(3, 8, tuple(path)), tree.root())

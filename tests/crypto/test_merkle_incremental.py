@@ -1,5 +1,6 @@
 """Incremental Merkle roots must equal the RFC 6962 recursive rebuild."""
 
+from repro.crypto import merkle
 from repro.crypto.merkle import (
     EMPTY_ROOT,
     MerkleTree,
@@ -19,14 +20,43 @@ def test_incremental_root_matches_rebuild_at_every_size():
         incremental.append(leaf)
         rebuilt = MerkleTree(_leaves(i + 1))
         assert incremental.root() == rebuilt.root(), f"size {i + 1}"
-        # root_at recomputes from leaf hashes; it must agree too
+        # root_at resolves the same range from stored nodes; it must agree
         assert incremental.root_at(i + 1) == incremental.root()
 
 
-def test_forest_stays_logarithmic():
-    tree = MerkleTree(_leaves(1000))
-    # 1000 = 0b1111101000 -> one perfect subtree per set bit
-    assert len(tree._forest) == bin(1000).count("1")
+def test_roots_and_proofs_hash_logarithmically(monkeypatch):
+    # Stored subtree roots leave only the right edge of a range to hash:
+    # no root or proof at any size may rebuild from the leaves.
+    calls = 0
+    real_node_hash = merkle._node_hash
+
+    def counting(left, right):
+        nonlocal calls
+        calls += 1
+        return real_node_hash(left, right)
+
+    def most_hashes(op, arg_lists):
+        nonlocal calls
+        most = 0
+        for args in arg_lists:
+            calls = 0
+            op(*args)
+            most = max(most, calls)
+        return most
+
+    for n in (1061, 65573):
+        tree = MerkleTree()
+        for i in range(n):
+            tree.append_hash(merkle.leaf_hash(i.to_bytes(4, "big")))
+        edges = {s for k in range(n.bit_length()) for s in (2**k - 1, 2**k, 2**k + 1)}
+        sizes = sorted(s for s in {*range(1, n, max(1, n // 1500)), n, *edges} if 1 <= s <= n)
+        inclusions = [(i, s) for s in sizes for i in {0, s // 3, s // 2, max(0, s - 2), s - 1}]
+        bound = 2 * n.bit_length()
+        monkeypatch.setattr(merkle, "_node_hash", counting)
+        assert most_hashes(tree.root_at, [(s,) for s in sizes]) <= bound
+        assert most_hashes(tree.prove_inclusion_at, inclusions) <= bound
+        assert most_hashes(tree.prove_consistency, [(s,) for s in sizes]) <= bound
+        monkeypatch.undo()
 
 
 def test_inclusion_proofs_verify_against_incremental_root():
